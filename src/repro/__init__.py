@@ -33,14 +33,14 @@ Public entry points
 * :mod:`repro.baselines` — every method the paper compares against.
 * :mod:`repro.experiments` — one module per table/figure of the evaluation.
 * :mod:`repro.cluster` — sharded, replicated, capacity-bounded KV-cache
-  cluster with a multi-tenant serving frontend and workload simulator.
+  cluster with a multi-tenant serving frontend and workload generator.
 
-The pre-spec entry points (:class:`repro.ContextLoadingEngine`,
-:class:`repro.ClusterFrontend`, ``ConcurrentEngine``) remain as deprecation
-shims over the same machinery.
+:class:`repro.ContextLoadingEngine`, :class:`repro.ClusterFrontend` and
+``ConcurrentEngine`` are the engines the backends are built from; declare a
+``ServingSpec`` rather than wiring them by hand.
 """
 
-from .cluster import ClusterFrontend, ClusterSimulator, WorkloadGenerator
+from .cluster import ClusterFrontend, WorkloadGenerator
 from .core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder, EncodingLevel, KVCache
 from .faults import (
     BreakerPolicy,
@@ -96,7 +96,6 @@ __all__ = [
     "CacheGenDecoder",
     "CacheGenEncoder",
     "ClusterFrontend",
-    "ClusterSimulator",
     "ComputeModel",
     "ConstantTrace",
     "ContextLoadingEngine",

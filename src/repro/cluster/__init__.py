@@ -10,30 +10,28 @@ this package scales it out:
 * :class:`ShardedKVStore` — replicated placement with failover lookup;
 * :class:`ClusterFrontend` — the engine extended with cluster routing and a
   text fallback on full cluster miss;
-* :class:`WorkloadGenerator` / :class:`ClusterSimulator` — Zipf/Poisson
-  multi-tenant workloads and cluster-level reporting (per-node hit ratios,
-  evictions, TTFT percentiles, SLO attainment).
+* :class:`WorkloadGenerator` — Zipf/Poisson multi-tenant workloads.
+
+Runs go through the unified API: ``serve(ServingSpec(topology="cluster",
+...), workload=WorkloadGenerator(...))`` builds the frontend behind a
+:class:`~repro.serving.api.ClusterBackend` and reports per-node hit ratios,
+evictions, TTFT percentiles and SLO attainment on one ``RunReport``.
 """
 
-from .frontend import ClusterFrontend, ClusterIngestReport, ClusterQueryResponse
+from .frontend import ClusterFrontend, ClusterIngestReport
 from .hash_ring import ConsistentHashRing
 from .node import StorageNode
 from .sharded_store import Lookup, Placement, RebalanceReport, ShardedKVStore
-from .simulator import ClusterReport, ClusterSimulator, RequestRecord
 from .workload import Request, WorkloadGenerator
 
 __all__ = [
     "ClusterFrontend",
     "ClusterIngestReport",
-    "ClusterQueryResponse",
-    "ClusterReport",
-    "ClusterSimulator",
     "ConsistentHashRing",
     "Lookup",
     "Placement",
     "RebalanceReport",
     "Request",
-    "RequestRecord",
     "ShardedKVStore",
     "StorageNode",
     "WorkloadGenerator",

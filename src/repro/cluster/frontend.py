@@ -18,7 +18,6 @@ from ..core.config import CacheGenConfig
 from ..llm.compute_model import A40, GPUSpec
 from ..llm.model_config import ModelConfig
 from ..network.link import NetworkLink
-from ..serving._compat import warn_deprecated_entry_point
 from ..serving.api.types import ServeResponse
 from ..serving.engine import ContextLoadingEngine
 from ..serving.pipeline import IngestReport, QueryResponse
@@ -28,7 +27,7 @@ from ..storage.tiered import DiskKVStore, PlacementPolicy, TieredKVStore
 from .node import StorageNode
 from .sharded_store import ShardedKVStore
 
-__all__ = ["ClusterIngestReport", "ClusterQueryResponse", "ClusterFrontend"]
+__all__ = ["ClusterIngestReport", "ClusterFrontend"]
 
 
 @dataclass(frozen=True)
@@ -37,17 +36,6 @@ class ClusterIngestReport(IngestReport):
 
     replica_node_ids: tuple[str, ...] = ()
     replicated_bytes: float = 0.0
-
-
-@dataclass
-class ClusterQueryResponse(ServeResponse):
-    """Query response of the cluster frontend.
-
-    Historically this subclass carried the routing fields (``served_by`` /
-    ``failed_over`` / ``attempted_node_ids``); those now live on the unified
-    :class:`~repro.serving.api.ServeResponse`, of which this is a
-    field-for-field alias kept for back compatibility.
-    """
 
 
 def _as_cluster_response(
@@ -61,8 +49,8 @@ def _as_cluster_response(
     degrade_cause: str | None = None,
     retries: int = 0,
     hedged: bool = False,
-) -> ClusterQueryResponse:
-    return ClusterQueryResponse.upgrade(
+) -> ServeResponse:
+    return ServeResponse.upgrade(
         response,
         served_by=served_by,
         failed_over=failed_over,
@@ -110,11 +98,10 @@ class ClusterFrontend(ContextLoadingEngine):
         Link to the document store used by the text fallback; defaults to a
         fresh 3 Gbps link.
 
-    .. deprecated::
-        Direct construction is deprecated; declare a
-        :class:`repro.serving.api.ServingSpec` with ``topology="cluster"`` (or
-        ``"tiered"``) and use :func:`repro.serving.api.serve` /
-        ``build_backend`` instead.
+    Declare a :class:`repro.serving.api.ServingSpec` with
+    ``topology="cluster"`` (or ``"tiered"``) and use
+    :func:`repro.serving.api.serve` / ``build_backend`` to serve through it;
+    the cluster backend is built on this frontend.
 
     Example
     -------
@@ -139,10 +126,6 @@ class ClusterFrontend(ContextLoadingEngine):
         text_link: NetworkLink | None = None,
         vnodes: int = 64,
     ) -> None:
-        if type(self) is ClusterFrontend:
-            warn_deprecated_entry_point(
-                "ClusterFrontend", 'ServingSpec(topology="cluster")'
-            )
         super().__init__(
             model, link=text_link, config=config, gpu=gpu, base_quality=base_quality
         )
@@ -252,7 +235,7 @@ class ClusterFrontend(ContextLoadingEngine):
         num_tokens: int | None = None,
         task: str = "qa_accuracy",
         slo_s: float | None = None,
-    ) -> ClusterQueryResponse:
+    ) -> ServeResponse:
         """Serve a query from the best live replica, else from text.
 
         ``num_tokens`` is only required for contexts the cluster has never

@@ -5,7 +5,7 @@ The public surface is the unified API in :mod:`repro.serving.api`: declare a
 :func:`~repro.serving.api.serve`), and drive it with
 :class:`~repro.serving.api.ServeRequest` objects.
 
-The historical entry points remain as deprecation shims: the sequential
+The backends are built from two engines: the sequential
 :class:`ContextLoadingEngine` serves one query at a time, and the
 :mod:`repro.serving.concurrent` subpackage serves batches of queries through
 a discrete-event simulation of the shared links and GPU run queue.
@@ -13,7 +13,7 @@ a discrete-event simulation of the shared links and GPU run queue.
 
 from .engine import ContextLoadingEngine
 from .pipeline import IngestReport, QueryResponse
-from .concurrent import ConcurrentEngine, ConcurrentQueryResponse
+from .concurrent import ConcurrentEngine
 from .api import (
     AutoscaleSpec,
     Driver,
@@ -36,7 +36,6 @@ from .fleet import (
 __all__ = [
     "AutoscaleSpec",
     "ConcurrentEngine",
-    "ConcurrentQueryResponse",
     "ContextLoadingEngine",
     "DispatchPolicy",
     "Driver",

@@ -15,10 +15,10 @@ This package is the single public serving surface of the repo:
   interleaved with queries, pluggable admission/shedding) through any
   backend.
 
-The legacy entry points (``ContextLoadingEngine``, ``ConcurrentEngine``,
-``ClusterFrontend``) remain as deprecation shims over the same machinery.
+The engines the backends wrap (``ContextLoadingEngine``,
+``ConcurrentEngine``, ``ClusterFrontend``) are their internal building blocks.
 
-``backends`` and ``driver`` are loaded lazily (PEP 562): the legacy engines
+``backends`` and ``driver`` are loaded lazily (PEP 562): the engines
 import :mod:`.types` at class-definition time, so the eager surface of this
 package must stay limited to the leaf modules.
 """

@@ -25,7 +25,6 @@ from ...network.link import NetworkLink
 from ...telemetry.slo import AlertEngine, SLOObjective
 from ...telemetry.timeseries import TimeSeriesRecorder, auto_window_s
 from ...telemetry.trace import Tracer, emit_breakdown_spans
-from .._compat import api_construction
 from ..engine import ContextLoadingEngine
 from ..pipeline import IngestReport
 from .spec import ServingSpec
@@ -45,6 +44,21 @@ __all__ = [
 
 def _constant_link(bandwidth_gbps: float) -> NetworkLink:
     return NetworkLink(ConstantTrace(gbps(bandwidth_gbps)))
+
+
+def _concurrent_engine(engine, spec: ServingSpec):
+    """The event-driven engine over ``engine`` with the spec's queueing knobs."""
+    from ..concurrent.engine import ConcurrentEngine
+
+    return ConcurrentEngine(
+        engine,
+        max_decode_batch=spec.max_decode_batch,
+        batch_overhead=spec.batch_overhead,
+        admission_limit=spec.admission_limit,
+        gpu_workers=spec.gpu_workers,
+        dispatch_policy=spec.dispatch_policy,
+        autoscale=spec.autoscale,
+    )
 
 
 @runtime_checkable
@@ -243,18 +257,17 @@ class SingleNodeBackend(_EngineBackend):
     def __init__(self, spec: ServingSpec, engine: ContextLoadingEngine | None = None) -> None:
         super().__init__(spec)
         if engine is None:
-            with api_construction():
-                engine = ContextLoadingEngine(
-                    spec.model,
-                    link=spec.link or _constant_link(spec.bandwidth_gbps),
-                    config=spec.resolved_config(),
-                    gpu=spec.gpu,
-                    base_quality=(
-                        dict(spec.base_quality) if spec.base_quality is not None else None
-                    ),
-                    store_max_bytes=spec.max_bytes_per_node,
-                    store_eviction_policy=spec.eviction_policy,
-                )
+            engine = ContextLoadingEngine(
+                spec.model,
+                link=spec.link or _constant_link(spec.bandwidth_gbps),
+                config=spec.resolved_config(),
+                gpu=spec.gpu,
+                base_quality=(
+                    dict(spec.base_quality) if spec.base_quality is not None else None
+                ),
+                store_max_bytes=spec.max_bytes_per_node,
+                store_eviction_policy=spec.eviction_policy,
+            )
         self.engine = engine
 
     def attach_tracer(self, tracer: Tracer | None) -> None:
@@ -312,19 +325,8 @@ class ConcurrentBackend(SingleNodeBackend):
     kind = "concurrent"
 
     def __init__(self, spec: ServingSpec, engine: ContextLoadingEngine | None = None) -> None:
-        from ..concurrent.engine import ConcurrentEngine
-
         super().__init__(spec, engine=engine)
-        with api_construction():
-            self._concurrent = ConcurrentEngine(
-                self.engine,
-                max_decode_batch=spec.max_decode_batch,
-                batch_overhead=spec.batch_overhead,
-                admission_limit=spec.admission_limit,
-                gpu_workers=spec.gpu_workers,
-                dispatch_policy=spec.dispatch_policy,
-                autoscale=spec.autoscale,
-            )
+        self._concurrent = _concurrent_engine(self.engine, spec)
 
     def attach_tracer(self, tracer: Tracer | None) -> None:
         super().attach_tracer(tracer)
@@ -366,54 +368,39 @@ class ClusterBackend(_EngineBackend):
         if frontend is None:
             speeds = spec.node_bandwidths_gbps or (spec.bandwidth_gbps,) * spec.num_nodes
             tiered = spec.cold_bytes_per_node is not None
-            with api_construction():
-                frontend = ClusterFrontend(
-                    spec.model,
-                    node_links=[_constant_link(speed) for speed in speeds],
-                    replication_factor=spec.replication,
-                    max_bytes_per_node=spec.max_bytes_per_node,
-                    eviction_policy=spec.eviction_policy,
-                    cold_bytes_per_node=spec.cold_bytes_per_node,
-                    tier_links=(
-                        [
-                            _constant_link(spec.tier_bandwidth_gbps)
-                            for _ in range(spec.num_nodes)
-                        ]
-                        if tiered
-                        else None
-                    ),
-                    placement=spec.placement,
-                    config=spec.resolved_config(),
-                    gpu=spec.gpu,
-                    base_quality=(
-                        dict(spec.base_quality) if spec.base_quality is not None else None
-                    ),
-                    text_link=(
-                        _constant_link(spec.text_bandwidth_gbps)
-                        if spec.text_bandwidth_gbps is not None
-                        else None
-                    ),
-                )
+            frontend = ClusterFrontend(
+                spec.model,
+                node_links=[_constant_link(speed) for speed in speeds],
+                replication_factor=spec.replication,
+                max_bytes_per_node=spec.max_bytes_per_node,
+                eviction_policy=spec.eviction_policy,
+                cold_bytes_per_node=spec.cold_bytes_per_node,
+                tier_links=(
+                    [_constant_link(spec.tier_bandwidth_gbps) for _ in range(spec.num_nodes)]
+                    if tiered
+                    else None
+                ),
+                placement=spec.placement,
+                config=spec.resolved_config(),
+                gpu=spec.gpu,
+                base_quality=(
+                    dict(spec.base_quality) if spec.base_quality is not None else None
+                ),
+                text_link=(
+                    _constant_link(spec.text_bandwidth_gbps)
+                    if spec.text_bandwidth_gbps is not None
+                    else None
+                ),
+            )
         self.frontend = frontend
         if spec.resilience is not None:
             from ...faults.resilience import ResilienceManager
 
             self.resilience = ResilienceManager(spec.resilience)
             self.frontend.cluster.resilience = self.resilience
-        self._concurrent = None
-        if spec.concurrency > 1:
-            from ..concurrent.engine import ConcurrentEngine
-
-            with api_construction():
-                self._concurrent = ConcurrentEngine(
-                    frontend,
-                    max_decode_batch=spec.max_decode_batch,
-                    batch_overhead=spec.batch_overhead,
-                    admission_limit=spec.admission_limit,
-                    gpu_workers=spec.gpu_workers,
-                    dispatch_policy=spec.dispatch_policy,
-                    autoscale=spec.autoscale,
-                )
+        self._concurrent = (
+            _concurrent_engine(frontend, spec) if spec.concurrency > 1 else None
+        )
 
     # --------------------------------------------------------------- telemetry
     def attach_tracer(self, tracer: Tracer | None) -> None:

@@ -1,18 +1,16 @@
 """Arrival-driven open-loop serving and the ``serve()`` convenience.
 
-The legacy :class:`~repro.cluster.simulator.ClusterSimulator` served the
-workload in fixed-size *waves*: ``N`` requests at a time, arrival clocks reset
-at every wave boundary, the system fully drained between waves.  That shape
-hides steady-state queueing — the very thing concurrency experiments are
-about.  The :class:`Driver` replays the workload generator's **true Poisson
-arrival process** instead: ingest events happen at first touch in arrival
-order, admitted queries enter one continuous event simulation with their
-absolute arrival times, and queueing emerges from the schedule rather than
-from wave boundaries.
+The :class:`Driver` replays a workload generator's **true Poisson arrival
+process**: ingest events happen at first touch in arrival order, admitted
+queries enter one continuous event simulation with their absolute arrival
+times, and steady-state queueing emerges from the schedule rather than from
+fixed-size waves of requests that drain between batches.
 
 Admission is pluggable: an :class:`AdmissionPolicy` sees every arrival and
 may shed it (open-loop load shedding); shed requests are counted in the
 :class:`~repro.serving.api.types.RunReport` and never enter the simulation.
+A request the backend cannot size — no ``num_tokens`` and a context it never
+stored — is rejected at arrival as a hard failure and never enters it either.
 
 Topology events (node failures/recoveries) split the run into segments: each
 segment is one continuous simulation, and the event applies at the boundary.
@@ -164,9 +162,6 @@ class Driver:
         ``"faults"`` track, per-fault MTTR and the resilience counters ride
         on ``report.resilience``.  ``None`` (default) keeps the fault-free
         fast path byte-identical.
-    max_batch:
-        Optional cap on requests per simulation segment.  ``None`` (default)
-        runs the whole stream as one continuous open-loop simulation.
     tracer:
         Optional :class:`~repro.telemetry.trace.Tracer`.  When given, it is
         wired through the backend (engines, stores, simulated resources), the
@@ -217,7 +212,6 @@ class Driver:
         node_failures: Mapping[int, str] | None = None,
         node_recoveries: Mapping[int, str] | None = None,
         faults: FaultSchedule | None = None,
-        max_batch: int | None = None,
         tracer: Tracer | None = None,
         window_s: float | None = None,
         slos: Sequence[SLOObjective] = (),
@@ -226,8 +220,6 @@ class Driver:
     ) -> None:
         if isinstance(backend, ServingSpec):
             backend = build_backend(backend)
-        if max_batch is not None and max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
         self.backend = backend
         self.tracer = tracer
         if tracer is not None:
@@ -240,7 +232,6 @@ class Driver:
         if faults is not None and not isinstance(faults, FaultSchedule):
             raise TypeError("faults must be a FaultSchedule (or None)")
         self.faults = faults
-        self.max_batch = max_batch
         self.window_s = window_s
         self.slos = tuple(slos)
         self.alert_rules = alert_rules
@@ -338,24 +329,12 @@ class Driver:
         pending: list[ServeRequest] = []
 
         def flush() -> None:
-            nonlocal hard_failures
             if not pending:
                 return
-            batch, pending[:] = list(pending), []
-            for request in batch:
+            for request in pending:
                 backend.submit(request)
-            try:
-                responses.extend(backend.run())
-            except Exception:
-                # The continuous segment failed wholesale.  Re-serve it one
-                # request at a time so a single bad request costs itself, not
-                # its segment-mates (mirrors the legacy wave fallback).
-                for request in batch:
-                    backend.submit(request)
-                    try:
-                        responses.extend(backend.run())
-                    except Exception:
-                        hard_failures += 1
+            pending.clear()
+            responses.extend(backend.run())
 
         for index, request in enumerate(requests):
             if tracer is not None:
@@ -416,6 +395,11 @@ class Driver:
                         "requests_shed", "arrivals refused by the admission policy"
                     ).inc()
                 continue
+            if request.num_tokens is None and not self._sizable(request.context_id):
+                # Nothing to ingest it from and nothing stored to serve it
+                # from: the request fails alone, before the simulation.
+                hard_failures += 1
+                continue
             if request.context_id not in self._known and request.num_tokens is not None:
                 if ingest_is_barrier:
                     flush()
@@ -453,8 +437,6 @@ class Driver:
                             "ingested_bytes", "bytes written at ingest"
                         ).inc(getattr(report, "total_stored_bytes", 0.0))
             pending.append(request)
-            if self.max_batch is not None and len(pending) >= self.max_batch:
-                flush()
         flush()
 
         if injector is not None:
@@ -567,6 +549,18 @@ class Driver:
         backend = self.backend
         if isinstance(backend, ClusterBackend):
             return context_id in backend.frontend.cluster
+        return context_id in backend.engine.store
+
+    def _sizable(self, context_id: str) -> bool:
+        """Whether the backend knows a context's length without the request.
+
+        The cluster remembers every length it ever ingested (evictions
+        included); a single-node engine knows what its store holds, up or
+        down.
+        """
+        backend = self.backend
+        if isinstance(backend, ClusterBackend):
+            return backend.frontend.cluster.known_tokens(context_id) is not None
         return context_id in backend.engine.store
 
 

@@ -86,10 +86,9 @@ class ServeRequest:
 class ServeResponse(QueryResponse):
     """Query response with the unified field set of all three backends.
 
-    This collapses the field drift between the historical
-    ``ClusterQueryResponse`` (routing fields) and ``ConcurrentQueryResponse``
-    (event-schedule fields): both are now thin subclasses of this class, and
-    every backend fills the same schema.
+    Every backend fills the same schema: the routing fields of the cluster
+    frontend and the event-schedule fields of the concurrent engine live on
+    this one class.
 
     Example
     -------
@@ -130,30 +129,16 @@ class ServeResponse(QueryResponse):
 
     @classmethod
     def upgrade(cls, response: QueryResponse, **extra) -> "ServeResponse":
-        """Lift any (possibly legacy) query response into the unified shape.
+        """Lift an engine's query response into the unified shape.
 
-        Fields already present on ``response`` are carried over; ``extra``
-        overrides or supplies the rest.
+        Fields already present on ``response`` (a plain
+        :class:`~repro.serving.pipeline.QueryResponse` or a
+        :class:`ServeResponse`) are carried over; ``extra`` overrides or
+        supplies the rest.
         """
         from dataclasses import fields as dc_fields
 
-        values = {f.name: getattr(response, f.name) for f in dc_fields(QueryResponse)}
-        # Legacy subclasses may carry some unified fields without being one.
-        for name in (
-            "served_by",
-            "failed_over",
-            "attempted_node_ids",
-            "arrival_s",
-            "finish_s",
-            "served_tier",
-            "tier_transfer_s",
-            "degraded",
-            "degrade_cause",
-            "retries",
-            "hedged",
-        ):
-            if hasattr(response, name):
-                values[name] = getattr(response, name)
+        values = {f.name: getattr(response, f.name) for f in dc_fields(response)}
         values.update(extra)
         return cls(**values)
 

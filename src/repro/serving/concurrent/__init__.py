@@ -1,8 +1,8 @@
 """Event-driven concurrent serving: queueing at the GPU, batched decode.
 
-The sequential engine serves one request at a time and the old batching
-scheduler modeled concurrency as a static ``1/n`` GPU share.  This package
-replaces both with a discrete-event simulation in which contention *emerges*:
+The sequential engine serves one request at a time.  This package serves
+concurrent requests through a discrete-event simulation in which contention
+*emerges*:
 
 * :class:`SimClock` — deterministic event loop over simulated time;
 * :class:`LinkChannel` / :class:`GpuScheduler` — FIFO links and a serialized
@@ -17,7 +17,7 @@ replaces both with a discrete-event simulation in which contention *emerges*:
   :class:`~repro.serving.engine.ContextLoadingEngine`, cluster-aware.
 """
 
-from .engine import ConcurrentEngine, ConcurrentQueryResponse
+from .engine import ConcurrentEngine
 from .events import SimClock
 from .processes import TIER_CONFIG, ChunkedKVLoad, LoadProcess, LoadStage, StaticLoad
 from .resources import DECODE, PREFILL, GpuScheduler, GpuTask, LinkChannel
@@ -27,7 +27,6 @@ __all__ = [
     "ChunkedKVLoad",
     "ConcurrentEngine",
     "ConcurrentLoadSimulator",
-    "ConcurrentQueryResponse",
     "DECODE",
     "GpuScheduler",
     "GpuTask",

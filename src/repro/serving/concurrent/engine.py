@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING
 from ...metrics.system import QueueingTTFTBreakdown
 from ...streaming.adaptation import FixedLevelPolicy, SLOAwareAdapter
 from ...telemetry.trace import Tracer, emit_timeline_spans
-from .._compat import warn_deprecated_entry_point
 from ..api.types import ServeResponse
 from .processes import TIER_CONFIG, ChunkedKVLoad, LoadStage, StaticLoad
 from .resources import DECODE, PREFILL
@@ -36,24 +35,13 @@ if TYPE_CHECKING:  # avoid a circular import; the engine is only composed with
     from ..fleet.autoscale import AutoscaleSpec
     from ..fleet.dispatch import DispatchPolicy
 
-__all__ = ["ConcurrentQueryResponse", "ConcurrentEngine"]
+__all__ = ["ConcurrentEngine"]
 
 #: Tier labels, mirroring :data:`repro.storage.tiered.HOT`/``COLD``.  Spelled
 #: out here because ``repro.storage`` imports the streaming package (which
 #: imports this one) — importing it back at module level would be a cycle.
 HOT = "hot"
 COLD = "cold"
-
-
-@dataclass
-class ConcurrentQueryResponse(ServeResponse):
-    """Query response of the event-driven engine.
-
-    Historically this subclass carried the event-schedule fields
-    (``arrival_s`` / ``finish_s`` / ``queueing_s``); those now live on the
-    unified :class:`~repro.serving.api.ServeResponse`, of which this is a
-    field-for-field alias kept for back compatibility.
-    """
 
 
 @dataclass
@@ -114,10 +102,9 @@ class ConcurrentEngine:
         routed to them, and the optional
         :class:`~repro.serving.fleet.autoscale.AutoscaleSpec`.
 
-    .. deprecated::
-        Direct construction is deprecated; declare a
-        :class:`repro.serving.api.ServingSpec` with ``concurrency > 1`` and
-        use :func:`repro.serving.api.serve` / ``build_backend`` instead.
+    Declare a :class:`repro.serving.api.ServingSpec` with ``concurrency > 1``
+    and use :func:`repro.serving.api.serve` / ``build_backend`` to serve
+    through it; the concurrent and cluster backends are built on this engine.
     """
 
     def __init__(
@@ -131,9 +118,6 @@ class ConcurrentEngine:
         autoscale: "AutoscaleSpec | None" = None,
         tracer: Tracer | None = None,
     ) -> None:
-        warn_deprecated_entry_point(
-            "ConcurrentEngine", 'ServingSpec(topology="single", concurrency=N)'
-        )
         self.engine = engine
         self.max_decode_batch = max_decode_batch
         self.batch_overhead = batch_overhead
@@ -183,13 +167,13 @@ class ConcurrentEngine:
         num_tokens: int | None = None,
         task: str = "qa_accuracy",
         slo_s: float | None = None,
-    ) -> ConcurrentQueryResponse:
+    ) -> ServeResponse:
         """Single-query convenience mirroring ``ContextLoadingEngine.query``."""
         self.submit(context_id, question, num_tokens=num_tokens, task=task, slo_s=slo_s)
         return self.run()[0]
 
     # --------------------------------------------------------------------- run
-    def run(self) -> list[ConcurrentQueryResponse]:
+    def run(self) -> list[ServeResponse]:
         """Serve all staged queries concurrently; responses in staging order.
 
         Routing is decided before the event simulation runs, in arrival
@@ -288,7 +272,7 @@ class ConcurrentEngine:
         submissions: list[_Submission],
         resolutions: list[_Resolution | None],
         timelines: list[RequestTimeline],
-        responses: list[ConcurrentQueryResponse],
+        responses: list[ServeResponse],
     ) -> None:
         """One root span per request, plus failover instants and TTFT metrics."""
         metrics = tracer.metrics
@@ -467,7 +451,7 @@ class ConcurrentEngine:
         resolution: _Resolution,
         process: ChunkedKVLoad | StaticLoad,
         timeline: RequestTimeline,
-    ) -> ConcurrentQueryResponse:
+    ) -> ServeResponse:
         engine = self.engine
         reference_kv = engine._reference_kv(submission.context_id, resolution.num_tokens)
         if resolution.use_kv:
@@ -498,7 +482,7 @@ class ConcurrentEngine:
         served_by = None
         if resolution.use_kv and resolution.node is not None:
             served_by = resolution.node.node_id
-        return ConcurrentQueryResponse(
+        return ServeResponse(
             context_id=submission.context_id,
             question=submission.question,
             text=generation.text,

@@ -10,7 +10,6 @@ GPU), not within a request; the batched decode of co-located requests recoups
 what the strict per-request ordering gives up.
 
 This is the engine room shared by the
-:class:`~repro.streaming.scheduler.ConcurrentScheduler`, the
 :class:`~repro.serving.concurrent.engine.ConcurrentEngine` facade and the
 Figure 12 concurrency experiment.
 """

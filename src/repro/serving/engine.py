@@ -37,7 +37,6 @@ from ..storage.eviction import EvictionPolicy, make_policy
 from ..storage.kv_store import KVCacheStore
 from ..streaming.adaptation import FixedLevelPolicy, SLOAwareAdapter
 from ..streaming.streamer import KVStreamer
-from ._compat import warn_deprecated_entry_point
 from .pipeline import IngestReport, QueryResponse
 
 __all__ = ["ContextLoadingEngine"]
@@ -80,10 +79,9 @@ class ContextLoadingEngine:
         Optional capacity bound (and victim-selection policy) of the node's
         bitstream store; ``None`` keeps the store unbounded.
 
-    .. deprecated::
-        Direct construction is deprecated; declare a
-        :class:`repro.serving.api.ServingSpec` and use
-        :func:`repro.serving.api.serve` / ``build_backend`` instead.
+    Declare a :class:`repro.serving.api.ServingSpec` and use
+    :func:`repro.serving.api.serve` / ``build_backend`` to serve through it;
+    the single-node backends are built on this engine.
 
     Example
     -------
@@ -102,10 +100,6 @@ class ContextLoadingEngine:
         store_max_bytes: float | None = None,
         store_eviction_policy: str | EvictionPolicy = "lru",
     ) -> None:
-        if type(self) is ContextLoadingEngine:
-            warn_deprecated_entry_point(
-                "ContextLoadingEngine", 'ServingSpec(topology="single")'
-            )
         if isinstance(model, str):
             model = get_model_config(model)
         self.model = model
@@ -215,16 +209,20 @@ class ContextLoadingEngine:
         """Answer a question against a context, loading its KV cache if stored.
 
         ``num_tokens`` is only required for contexts that were never ingested
-        (the engine then falls back to the text path).
+        (the engine then falls back to the text path).  While the store is
+        down, a stored context is answered from text at its stored length.
         """
         parts = self._parts
         prompt_tokens = max(parts.llm.tokenizer.count_tokens(question), 1)
 
-        if self.store_up and context_id in parts.store:
-            stored = parts.store.get_context(context_id)
-            if not self._prefer_text_path(stored.num_tokens):
-                return self._query_with_kv(stored, question, prompt_tokens, task, slo_s)
-            num_tokens = stored.num_tokens
+        if context_id in parts.store:
+            if self.store_up:
+                stored = parts.store.get_context(context_id)
+                if not self._prefer_text_path(stored.num_tokens):
+                    return self._query_with_kv(stored, question, prompt_tokens, task, slo_s)
+                num_tokens = stored.num_tokens
+            elif num_tokens is None:
+                num_tokens = parts.store.peek_context(context_id).num_tokens
         if num_tokens is None:
             raise ValueError(
                 "num_tokens is required for contexts that have not been ingested"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import fields
 
 import pytest
@@ -107,6 +106,27 @@ class TestEndToEnd:
             serve(BASE, REQUESTS, workload=object())
 
 
+class TestDownedNode:
+    def test_single_and_concurrent_degrade_a_stored_context_alike(self):
+        """A downed node's stored context is answered from text, unsized."""
+        answers = {}
+        for kind, spec in (("single", BASE), ("concurrent", BASE.with_(concurrency=2))):
+            backend = build_backend(spec)
+            backend.ingest("down-doc", 640)
+            backend.mark_down()
+            backend.submit(ServeRequest("down-doc", "Q?"))  # no num_tokens
+            (answers[kind],) = backend.run()
+        for response in answers.values():
+            assert not response.used_kv_cache
+            assert response.chunk_configs == ["text"]
+            assert response.degraded
+            assert response.degrade_cause == "node_down"
+        single, concurrent = answers["single"], answers["concurrent"]
+        assert single.text == concurrent.text
+        assert single.quality == concurrent.quality
+        assert single.transmitted_bytes == concurrent.transmitted_bytes
+
+
 class TestBackendKinds:
     def test_kind_override_checks_topology(self):
         with pytest.raises(ValueError, match="single topology"):
@@ -118,25 +138,17 @@ class TestBackendKinds:
 
 
 class TestDeprecationShims:
-    """The legacy entry points warn — and build the same stack as the spec."""
-
-    def test_api_construction_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            build_backend(BASE)
-            build_backend(BASE.with_(concurrency=2))
-            build_backend(BASE.with_(topology="cluster", num_nodes=2, replication=2))
+    """Hand-wired engines build the same stack as the spec's backends."""
 
     def test_engine_shim_matches_single_backend(self):
         spec = BASE.with_(max_bytes_per_node=5e8, eviction_policy="lfu")
         backend = build_backend(spec)
-        with pytest.warns(DeprecationWarning, match="ContextLoadingEngine"):
-            legacy = ContextLoadingEngine(
-                "mistral-7b",
-                config=CacheGenConfig(chunk_tokens=256),
-                store_max_bytes=5e8,
-                store_eviction_policy="lfu",
-            )
+        legacy = ContextLoadingEngine(
+            "mistral-7b",
+            config=CacheGenConfig(chunk_tokens=256),
+            store_max_bytes=5e8,
+            store_eviction_policy="lfu",
+        )
         assert backend.engine.config == legacy.config
         assert backend.engine.store.max_bytes == legacy.store.max_bytes
         assert type(backend.engine.store.eviction_policy) is type(
@@ -147,10 +159,7 @@ class TestDeprecationShims:
     def test_concurrent_shim_matches_concurrent_backend(self):
         spec = BASE.with_(concurrency=4, max_decode_batch=8, admission_limit=2)
         backend = build_backend(spec)
-        with pytest.warns(DeprecationWarning, match="ConcurrentEngine"):
-            legacy = ConcurrentEngine(
-                backend.engine, max_decode_batch=8, admission_limit=2
-            )
+        legacy = ConcurrentEngine(backend.engine, max_decode_batch=8, admission_limit=2)
         built = backend._concurrent
         assert built.max_decode_batch == legacy.max_decode_batch
         assert built.batch_overhead == legacy.batch_overhead
@@ -169,16 +178,15 @@ class TestDeprecationShims:
             eviction_policy="lfu",
         )
         backend = build_backend(spec)
-        with pytest.warns(DeprecationWarning, match="ClusterFrontend"):
-            legacy = ClusterFrontend(
-                "mistral-7b",
-                node_links=3,
-                replication_factor=2,
-                max_bytes_per_node=2e8,
-                cold_bytes_per_node=8e8,
-                eviction_policy="lfu",
-                config=CacheGenConfig(chunk_tokens=256),
-            )
+        legacy = ClusterFrontend(
+            "mistral-7b",
+            node_links=3,
+            replication_factor=2,
+            max_bytes_per_node=2e8,
+            cold_bytes_per_node=8e8,
+            eviction_policy="lfu",
+            config=CacheGenConfig(chunk_tokens=256),
+        )
         built = backend.frontend
         assert set(built.nodes) == set(legacy.nodes)
         assert (
@@ -190,13 +198,3 @@ class TestDeprecationShims:
             assert ours.hot.max_bytes == theirs.hot.max_bytes == 2e8
             assert ours.cold.max_bytes == theirs.cold.max_bytes == 8e8
         assert built.config == legacy.config
-
-    def test_legacy_subclasses_are_serve_responses(self):
-        from repro.cluster.frontend import ClusterQueryResponse
-        from repro.serving.concurrent import ConcurrentQueryResponse
-
-        assert issubclass(ClusterQueryResponse, ServeResponse)
-        assert issubclass(ConcurrentQueryResponse, ServeResponse)
-        assert {f.name for f in fields(ClusterQueryResponse)} == {
-            f.name for f in fields(ConcurrentQueryResponse)
-        } == {f.name for f in fields(ServeResponse)}

@@ -226,6 +226,19 @@ class TestDriver:
             ServeRequest("seg-doc", f"Q{i}?", arrival_s=0.2 * i, num_tokens=640)
             for i in range(5)
         ]
-        report = serve(SPEC, requests, max_batch=2)
+        # A node outage and its recovery cut the stream into three segments.
+        report = serve(SPEC, requests, node_failures={2: "local"}, node_recoveries={4: "local"})
+        assert report.segment_boundaries == (2, 4)
         assert len(report.responses) == 5
         assert [r.question for r in report.responses] == [r.question for r in requests]
+
+    def test_unexpected_backend_error_propagates(self, monkeypatch):
+        backend = build_backend(SPEC)
+
+        def broken_run():
+            raise RuntimeError("simulated program bug")
+
+        monkeypatch.setattr(backend, "run", broken_run)
+        requests = [ServeRequest("bug-doc", "Q?", arrival_s=0.0, num_tokens=320)]
+        with pytest.raises(RuntimeError, match="simulated program bug"):
+            Driver(backend, requests).run()

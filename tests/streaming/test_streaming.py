@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.network import ConstantTrace, NetworkLink, StepTrace, gbps
+from repro.serving.api import ServeRequest, ServingSpec, build_backend
 from repro.streaming import (
     TEXT_CONFIG,
-    ConcurrentScheduler,
     FixedLevelPolicy,
     KVStreamer,
     SLOAwareAdapter,
@@ -162,25 +162,44 @@ class TestStreamer:
         assert float(distortion.mean()) == pytest.approx(0.0, abs=1e-9)
 
 
+def _concurrent_backend(**spec_fields):
+    """A concurrent single-node backend holding one ingested context."""
+    spec = ServingSpec(model="mistral-7b", chunk_tokens=256, concurrency=8, **spec_fields)
+    backend = build_backend(spec)
+    backend.ingest("batch-doc", 640)
+    return backend
+
+
+def _serve_batch(backend, n: int):
+    """Stream ``n`` co-arriving requests for the stored context."""
+    for i in range(n):
+        backend.submit(ServeRequest("batch-doc", f"Q{i}?", arrival_s=0.0))
+    return backend.run()
+
+
 class TestScheduler:
-    def test_batch_per_request_results(self, streamer, prepared, fast_link):
-        scheduler = ConcurrentScheduler(streamer, max_batch_size=4)
-        batch = scheduler.stream_batch([prepared, prepared], fast_link, FixedLevelPolicy("medium"))
-        assert len(batch.per_request) == 2
-        assert batch.max_loading_delay_s >= batch.mean_loading_delay_s > 0
+    """Concurrent requests streaming over one link and GPU (§5.3)."""
 
-    def test_more_concurrency_more_delay(self, streamer, prepared, fast_link):
-        scheduler = ConcurrentScheduler(streamer, max_batch_size=8)
-        single = scheduler.stream_batch([prepared], fast_link, FixedLevelPolicy("medium"))
-        quad = scheduler.stream_batch([prepared] * 4, fast_link, FixedLevelPolicy("medium"))
-        assert quad.max_loading_delay_s > single.max_loading_delay_s
+    @pytest.fixture(scope="class")
+    def backend(self):
+        return _concurrent_backend(max_decode_batch=4)
 
-    def test_queueing_beyond_batch_size(self, streamer, prepared, fast_link):
-        scheduler = ConcurrentScheduler(streamer, max_batch_size=1)
-        batch = scheduler.stream_batch([prepared, prepared], fast_link, FixedLevelPolicy("medium"))
-        first, second = batch.per_request
-        assert second.chunks[0].transfer_start_s >= first.total_time_s - 1e-6
+    def test_batch_per_request_results(self, backend):
+        responses = _serve_batch(backend, 2)
+        assert len(responses) == 2
+        ttfts = [r.ttft_s for r in responses]
+        assert max(ttfts) >= sum(ttfts) / len(ttfts) > 0
 
-    def test_empty_batch_rejected(self, streamer, fast_link):
+    def test_more_concurrency_more_delay(self, backend):
+        single = _serve_batch(backend, 1)
+        quad = _serve_batch(backend, 4)
+        assert max(r.ttft_s for r in quad) > max(r.ttft_s for r in single)
+
+    def test_queueing_beyond_batch_size(self):
+        # One request in flight at a time: the second waits for the first.
+        first, second = _serve_batch(_concurrent_backend(admission_limit=1), 2)
+        assert second.queueing_s >= first.finish_s - 1e-6
+
+    def test_empty_batch_rejected(self, backend):
         with pytest.raises(ValueError):
-            ConcurrentScheduler(streamer).stream_batch([], fast_link, FixedLevelPolicy("medium"))
+            backend.run()

@@ -1,5 +1,6 @@
 """Documentation guardrails: docstring audit, generated API reference,
-markdown link integrity, and the README fleet quickstart snippet.
+markdown link integrity, the README fleet quickstart snippet, and the
+architecture module-ownership table.
 
 These keep the docs satellites honest: every public export must carry a
 docstring with an example, ``docs/API.md`` must match what the generator
@@ -10,8 +11,10 @@ it for real in the ``docs`` job).
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -101,3 +104,19 @@ class TestReadmeFleetSnippet:
         joined = "\n".join(snippets)
         for field in ("gpu_workers", "dispatch_policy", "autoscale"):
             assert field in joined
+
+
+class TestArchitectureModuleTable:
+    def test_key_types_import_from_their_module(self):
+        """Every backticked name in the module-ownership table still exists."""
+        text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
+        section = text.split("## Module ownership", 1)[1]
+        rows = re.findall(r"^\| `(repro[\w.]*)` \|[^|]*\|([^|]*)\|$", section, re.M)
+        assert rows, "ARCHITECTURE.md lost its module-ownership table"
+        missing = []
+        for module_name, key_types in rows:
+            module = importlib.import_module(module_name)
+            for name in re.findall(r"`([A-Za-z_]\w*)`", key_types):
+                if not hasattr(module, name):
+                    missing.append(f"{module_name}.{name}")
+        assert missing == []
